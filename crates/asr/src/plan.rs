@@ -33,7 +33,7 @@
 //! including concurrently**, and the result is bit-identical.
 //! [`Strategy::Parallel`](crate::fixpoint::Strategy::Parallel) exploits
 //! exactly this: wide acyclic levels are fanned out to a scoped-thread
-//! worker pool ([`solve_parallel`]); cyclic strata and narrow levels run
+//! worker pool (`solve_parallel`); cyclic strata and narrow levels run
 //! the sequential staged code.
 //!
 //! [`SystemBuilder::build`]: crate::system::SystemBuilder::build
@@ -65,7 +65,7 @@ pub enum Stratum {
 /// by [`crate::fixpoint::Strategy::Staged`] every instant. The plan is
 /// pure structure — it holds no per-instant state — so recompilation is
 /// only needed when the graph changes (which a built
-/// [`System`](crate::system::System) never does).
+/// [`System`] never does).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ExecPlan {
     strata: Vec<Stratum>,

@@ -438,7 +438,7 @@ impl System {
     /// The precompiled execution plan: the causality condensation laid
     /// out as topological strata (see [`crate::plan`]). Compiled once by
     /// [`SystemBuilder::build`]; consumed by
-    /// [`Strategy::Staged`](crate::fixpoint::Strategy::Staged).
+    /// [`Strategy::Staged`].
     pub fn plan(&self) -> &ExecPlan {
         &self.plan
     }
@@ -461,7 +461,7 @@ impl System {
     }
 
     /// The width threshold of
-    /// [`Strategy::Parallel`](crate::fixpoint::Strategy::Parallel): plan
+    /// [`Strategy::Parallel`]: plan
     /// levels with fewer acyclic blocks than this run sequentially on
     /// the calling thread (fan-out overhead would dominate).
     pub fn parallel_threshold(&self) -> usize {

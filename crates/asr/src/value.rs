@@ -20,7 +20,6 @@
 //! per-signal updates stabilises after at most one strict increase — this
 //! is what bounds fixed-point iteration (see [`crate::fixpoint`]).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A concrete datum carried by a present signal.
@@ -35,7 +34,7 @@ use std::fmt;
 /// let d = Datum::Int(42);
 /// assert_eq!(d.as_int(), Some(42));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Datum {
     /// A signed integer.
     Int(i64),
@@ -114,7 +113,7 @@ impl From<Vec<i64>> for Datum {
 /// assert!(!Value::Absent.le(&Value::int(3)));
 /// assert_eq!(Value::int(3), Value::Present(Datum::Int(3)));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub enum Value {
     /// Bottom: not yet determined within the current instant.
     #[default]

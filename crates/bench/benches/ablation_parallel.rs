@@ -173,5 +173,5 @@ criterion_group!(benches, bench_parallel);
 
 fn main() {
     benches();
-    bench::write_bench_json("ablation_parallel", &criterion::take_results());
+    bench::write_bench_json("ablation_parallel", &bench::criterion_rows());
 }

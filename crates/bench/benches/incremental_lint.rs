@@ -214,40 +214,22 @@ fn main() {
 
     let prefix = "incremental_lint";
     let rows = vec![
-        (format!("{prefix}/cold_analyze"), cold_ns),
-        (format!("{prefix}/warm_noop_analyze"), warm_ns),
-        (format!("{prefix}/warm_one_edit_analyze"), edit_ns),
-        (format!("{prefix}/methods"), n_methods as f64),
-        (format!("{prefix}/method_queries"), method_queries as f64),
-        (
-            format!("{prefix}/one_edit_recomputed_queries"),
-            edit_stats.recomputed as f64,
-        ),
-        (
-            format!("{prefix}/one_edit_scc_recomputes"),
-            edit_stats.scc_misses as f64,
-        ),
-        (format!("{prefix}/one_edit_recompute_pct"), recompute_pct),
-        (format!("{prefix}/warm_speedup_x"), speedup),
-        (format!("{prefix}/cold_tail"), cold_stats.tail_ns as f64),
-        (
-            format!("{prefix}/warm_noop_tail"),
-            noop_tail_stats.tail_ns as f64,
-        ),
-        (format!("{prefix}/warm_one_edit_tail"), edit_stats.tail_ns as f64),
-        (format!("{prefix}/tail_speedup_x"), tail_speedup),
-        (
-            format!("{prefix}/one_edit_demand_misses"),
-            edit_stats.demand_misses as f64,
-        ),
-        (
-            format!("{prefix}/one_edit_constraints_retracted"),
-            edit_stats.pt_constraints_retracted as f64,
-        ),
-        (
-            format!("{prefix}/one_edit_constraints_added"),
-            edit_stats.pt_constraints_added as f64,
-        ),
+        (format!("{prefix}/cold_analyze"), cold_ns, "ns"),
+        (format!("{prefix}/warm_noop_analyze"), warm_ns, "ns"),
+        (format!("{prefix}/warm_one_edit_analyze"), edit_ns, "ns"),
+        (format!("{prefix}/methods"), n_methods as f64, "count"),
+        (format!("{prefix}/method_queries"), method_queries as f64, "count"),
+        (format!("{prefix}/one_edit_recomputed_queries"), edit_stats.recomputed as f64, "count"),
+        (format!("{prefix}/one_edit_scc_recomputes"), edit_stats.scc_misses as f64, "count"),
+        (format!("{prefix}/one_edit_recompute_pct"), recompute_pct, "%"),
+        (format!("{prefix}/warm_speedup_x"), speedup, "ratio"),
+        (format!("{prefix}/cold_tail"), cold_stats.tail_ns as f64, "ns"),
+        (format!("{prefix}/warm_noop_tail"), noop_tail_stats.tail_ns as f64, "ns"),
+        (format!("{prefix}/warm_one_edit_tail"), edit_stats.tail_ns as f64, "ns"),
+        (format!("{prefix}/tail_speedup_x"), tail_speedup, "ratio"),
+        (format!("{prefix}/one_edit_demand_misses"), edit_stats.demand_misses as f64, "count"),
+        (format!("{prefix}/one_edit_constraints_retracted"), edit_stats.pt_constraints_retracted as f64, "count"),
+        (format!("{prefix}/one_edit_constraints_added"), edit_stats.pt_constraints_added as f64, "count"),
     ];
     bench::write_bench_json("incremental", &rows);
 }

@@ -80,5 +80,5 @@ criterion_group!(benches, bench_journal);
 
 fn main() {
     benches();
-    bench::write_bench_json("journal_overhead", &criterion::take_results());
+    bench::write_bench_json("journal_overhead", &bench::criterion_rows());
 }

@@ -4,7 +4,7 @@
 //! constant, `⊤` — unknown): each trackable local maps to a known
 //! [`Const`] or is absent (unknown). The analysis is *conditional* in
 //! the classic sense: when a branch condition folds to a constant, the
-//! dead edge propagates [`Fact::Unreachable`], so facts from code that
+//! dead edge propagates `Fact::Unreachable`, so facts from code that
 //! can never execute do not pollute the join — which is exactly what
 //! single-pass folding (`loops::fold_const`) cannot do.
 //!

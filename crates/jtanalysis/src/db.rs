@@ -21,7 +21,7 @@
 //! keys are unchanged and the dirty cone stops there.
 //!
 //! The whole-program points-to relation is maintained *differentially*
-//! across revisions by [`crate::ptdelta::PtCache`]: each method's
+//! across revisions by `ptdelta::PtCache`: each method's
 //! constraint contribution is keyed by a constant-blind shape
 //! fingerprint, an edit retracts only the tainted frontier's derived
 //! facts and re-propagates from there, and a span-only edit rebases
@@ -29,7 +29,7 @@
 //!
 //! The analysis *tail* — race verdicts, R13 ownership, R14 alias
 //! leaks, call-site loop proofs, R2 loop evidence, and per-method WCET
-//! folds — runs as demand queries memoized in [`crate::demand`]: each
+//! folds — runs as demand queries memoized in `demand`: each
 //! product's span-free core is keyed by exactly the facts it cites
 //! (method keys, the signature fingerprint, the canonical points-to
 //! relation fingerprint, summary digests), so an edit whose effects
@@ -926,7 +926,7 @@ mod tests {
         let mut db = AnalysisDb::new();
         let (p, t, g) = setup(a);
         db.analyze(&p, &t, &g);
-        assert!(db.definite.len() > 0);
+        assert!(!db.definite.is_empty());
         // Analyze enough *distinct* revisions that `a`'s entries age out
         // (replays of a seen revision deliberately don't age anything).
         for i in 0..=KEEP_REVISIONS {

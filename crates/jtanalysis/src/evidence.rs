@@ -37,8 +37,8 @@ use jtlang::ast::{
 };
 use jtlang::resolve::ClassTable;
 use jtlang::token::Span;
+use jtobs::json::Json;
 use std::collections::BTreeSet;
-use std::fmt::Write as _;
 
 /// Whether the evidence backs a reported finding or discharges a
 /// candidate.
@@ -259,97 +259,29 @@ impl Evidence {
 // JSON
 // ---------------------------------------------------------------------
 
-/// A minimal JSON value (integers only; all the evidence needs).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Integer number.
-    Num(i64),
-    /// String.
-    Str(String),
-    /// Array.
-    Arr(Vec<Json>),
-    /// Object with insertion-ordered keys.
-    Obj(Vec<(String, Json)>),
+/// Typed field access for [`Evidence::from_json`]: each accessor
+/// names the field it expected, so a malformed derivation is rejected
+/// with a message that points at it.
+trait Fields {
+    fn str_of(&self, key: &str) -> Result<&str, String>;
+    fn num_of(&self, key: &str) -> Result<i64, String>;
+    fn bool_of(&self, key: &str) -> Result<bool, String>;
+    fn arr_of(&self, key: &str) -> Result<&[Json], String>;
 }
 
-impl Json {
-    /// Serializes compactly (no whitespace), deterministically.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out);
-        out
-    }
-
-    fn write(&self, out: &mut String) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) => {
-                let _ = write!(out, "{n}");
-            }
-            Json::Str(s) => write_json_str(s, out),
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write(out);
-                }
-                out.push(']');
-            }
-            Json::Obj(fields) => {
-                out.push('{');
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_json_str(k, out);
-                    out.push(':');
-                    v.write(out);
-                }
-                out.push('}');
-            }
-        }
-    }
-
-    /// Parses one JSON value (integers only; fractions/exponents are
-    /// rejected — the linter never emits them).
-    pub fn parse(src: &str) -> Result<Json, String> {
-        let bytes = src.as_bytes();
-        let mut pos = 0;
-        let v = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing input at byte {pos}"));
-        }
-        Ok(v)
-    }
-
-    /// Object field lookup.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
+impl Fields for Json {
     fn str_of(&self, key: &str) -> Result<&str, String> {
-        match self.get(key) {
-            Some(Json::Str(s)) => Ok(s),
-            _ => Err(format!("expected string field `{key}`")),
-        }
+        self.get(key)
+            .and_then(Json::as_str)
+            .ok_or_else(|| format!("expected string field `{key}`"))
     }
 
+    /// Integers only: every numeric evidence field is a count, offset
+    /// or constant, so a fraction is malformed evidence.
     fn num_of(&self, key: &str) -> Result<i64, String> {
-        match self.get(key) {
-            Some(Json::Num(n)) => Ok(*n),
-            _ => Err(format!("expected number field `{key}`")),
-        }
+        self.get(key)
+            .and_then(Json::as_i64)
+            .ok_or_else(|| format!("expected integer field `{key}`"))
     }
 
     fn bool_of(&self, key: &str) -> Result<bool, String> {
@@ -360,166 +292,9 @@ impl Json {
     }
 
     fn arr_of(&self, key: &str) -> Result<&[Json], String> {
-        match self.get(key) {
-            Some(Json::Arr(a)) => Ok(a),
-            _ => Err(format!("expected array field `{key}`")),
-        }
-    }
-}
-
-fn write_json_str(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(bytes, pos);
-    let Some(&b) = bytes.get(*pos) else {
-        return Err("unexpected end of input".into());
-    };
-    match b {
-        b'n' => parse_lit(bytes, pos, "null", Json::Null),
-        b't' => parse_lit(bytes, pos, "true", Json::Bool(true)),
-        b'f' => parse_lit(bytes, pos, "false", Json::Bool(false)),
-        b'"' => parse_string(bytes, pos).map(Json::Str),
-        b'[' => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(bytes, pos)?);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(format!("expected `,` or `]` at byte {pos}")),
-                }
-            }
-        }
-        b'{' => {
-            *pos += 1;
-            let mut fields = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(fields));
-            }
-            loop {
-                skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
-                skip_ws(bytes, pos);
-                if bytes.get(*pos) != Some(&b':') {
-                    return Err(format!("expected `:` at byte {pos}"));
-                }
-                *pos += 1;
-                fields.push((key, parse_value(bytes, pos)?));
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(fields));
-                    }
-                    _ => return Err(format!("expected `,` or `}}` at byte {pos}")),
-                }
-            }
-        }
-        b'-' | b'0'..=b'9' => {
-            let start = *pos;
-            if b == b'-' {
-                *pos += 1;
-            }
-            while bytes.get(*pos).is_some_and(u8::is_ascii_digit) {
-                *pos += 1;
-            }
-            let text = std::str::from_utf8(&bytes[start..*pos]).unwrap();
-            text.parse::<i64>()
-                .map(Json::Num)
-                .map_err(|e| format!("bad number `{text}`: {e}"))
-        }
-        other => Err(format!("unexpected byte `{}`", other as char)),
-    }
-}
-
-fn parse_lit(bytes: &[u8], pos: &mut usize, lit: &str, value: Json) -> Result<Json, String> {
-    if bytes[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(value)
-    } else {
-        Err(format!("expected `{lit}` at byte {pos}"))
-    }
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    if bytes.get(*pos) != Some(&b'"') {
-        return Err(format!("expected string at byte {pos}"));
-    }
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err("unterminated string".into()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or("truncated \\u escape")?;
-                        let code =
-                            u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-                        out.push(char::from_u32(code).ok_or("bad \\u codepoint")?);
-                        *pos += 4;
-                    }
-                    _ => return Err("bad escape".into()),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar.
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|_| "bad UTF-8")?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
-            }
-        }
+        self.get(key)
+            .and_then(Json::as_array)
+            .ok_or_else(|| format!("expected array field `{key}`"))
     }
 }
 
@@ -1528,29 +1303,21 @@ mod tests {
     }
 
     #[test]
-    fn parser_rejects_garbage() {
-        assert!(Json::parse("{").is_err());
-        assert!(Json::parse("[1,]").is_err());
-        assert!(Json::parse("1.5").is_err());
-        assert!(Json::parse("\"unterminated").is_err());
-        assert!(Json::parse("{}extra").is_err());
-        assert_eq!(
-            Json::parse("{\"a\": [1, -2]}").unwrap(),
-            Json::Obj(vec![(
-                "a".into(),
-                Json::Arr(vec![Json::Num(1), Json::Num(-2)])
-            )])
-        );
-    }
-
-    #[test]
-    fn string_escapes_round_trip() {
-        let s = "a\"b\\c\nd\te\u{1}f";
-        let mut out = String::new();
-        write_json_str(s, &mut out);
-        let Json::Str(back) = Json::parse(&out).unwrap() else {
-            panic!("not a string");
+    fn fractional_numbers_are_malformed_evidence() {
+        let ev = Evidence::LoopBound {
+            verdict: Verdict::Cleared,
+            method: "A.m".into(),
+            loop_span: SpanRef { start: 10, end: 42 },
+            derivation: BoundDerivation::Interval { trips: 5 },
         };
-        assert_eq!(back, s);
+        let text = ev.to_json().render();
+        assert!(text.contains("\"trips\":5"), "{text}");
+        let fractional = Json::parse(&text.replace("\"trips\":5", "\"trips\":1.5")).unwrap();
+        assert_eq!(
+            Evidence::from_json(&fractional),
+            Err("expected integer field `trips`".to_string())
+        );
+        let exponent = Json::parse(&text.replace("[10,42]", "[10,4.2e1]")).unwrap();
+        assert!(Evidence::from_json(&exponent).is_err());
     }
 }

@@ -31,7 +31,7 @@
 //! Every object carries a **fingerprint-stable site id** ([`ObjInfo::site`],
 //! the walk-order ordinal of the allocation within its method, hashed
 //! with the method's name — *not* a node id), so the incremental
-//! database can cache a solved relation and [`PointsTo::rebase`] it onto
+//! database can cache a solved relation and `PointsTo::rebase` it onto
 //! a structurally identical revision whose spans moved.
 //!
 //! The heap maps `(object, field)` to a set of objects; array elements

@@ -1,5 +1,6 @@
 //! The real (`telemetry`-enabled) implementation.
 
+use crate::json;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::io;
@@ -340,10 +341,11 @@ impl Registry {
                 out.push_str(",\n");
             }
             first = false;
+            out.push_str("{\"name\":");
+            json::write_str(&e.name, &mut out);
             let _ = write!(
                 out,
-                "{{\"name\":{},\"cat\":\"jtobs\",\"ph\":\"{}\",\"ts\":{}.{:03},\"pid\":1,\"tid\":{}}}",
-                json_string(&e.name),
+                ",\"cat\":\"jtobs\",\"ph\":\"{}\",\"ts\":{}.{:03},\"pid\":1,\"tid\":{}}}",
                 e.phase,
                 e.ts_ns / 1_000,
                 e.ts_ns % 1_000,
@@ -357,14 +359,16 @@ impl Registry {
                 out.push_str(",\n");
             }
             first = false;
+            out.push_str("{\"name\":");
+            json::write_str(j.kind.name(), &mut out);
             let _ = write!(
                 out,
-                "{{\"name\":{},\"cat\":\"journal\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{}.{:03},\"pid\":1,\"tid\":0,\"args\":{{\"detail\":{}}}}}",
-                json_string(j.kind.name()),
+                ",\"cat\":\"journal\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{}.{:03},\"pid\":1,\"tid\":0,\"args\":{{\"detail\":",
                 j.ts_ns / 1_000,
                 j.ts_ns % 1_000,
-                json_string(&j.kind.canonical())
             );
+            json::write_str(&j.kind.canonical(), &mut out);
+            out.push_str("}}");
         }
         out.push_str("\n],\"displayTimeUnit\":\"ms\"}\n");
         out
@@ -446,24 +450,4 @@ impl Drop for Span {
             tid: self.tid,
         });
     }
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }

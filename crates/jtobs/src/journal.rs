@@ -290,7 +290,8 @@ impl Event {
                     let _ = write!(out, ",\"{key}\":{v}");
                 }
                 F::S(v) => {
-                    let _ = write!(out, ",\"{key}\":{}", json_string(&v));
+                    let _ = write!(out, ",\"{key}\":");
+                    crate::json::write_str(&v, &mut out);
                 }
             }
         }
@@ -300,26 +301,6 @@ impl Event {
         out.push('}');
         out
     }
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Render a slice of events as JSONL (one event per line).

@@ -37,6 +37,7 @@ mod disabled;
 pub use disabled::{Counter, Gauge, HistStats, Histogram, Registry, Span};
 
 pub mod journal;
+pub mod json;
 pub mod profile;
 pub mod snapshot;
 

@@ -5,6 +5,7 @@
 //! [`jtobs::ENABLED`] so the suite also passes (trivially) with
 //! `--no-default-features`, where every operation is a no-op.
 
+use jtobs::json::Json;
 use jtobs::Registry;
 use proptest::prelude::*;
 
@@ -227,14 +228,14 @@ fn journal_jsonl_round_trips_and_flags_classes() {
     let classes: Vec<String> = lines
         .iter()
         .map(|l| {
-            let v = serde_json::from_str(l).expect("journal line must be valid JSON");
-            v.get("class").and_then(|c| c.as_str()).expect("class").to_string()
+            let v = Json::parse(l).expect("journal line must be valid JSON");
+            v.get("class").and_then(Json::as_str).expect("class").to_string()
         })
         .collect();
     assert_eq!(classes, ["sem", "sched", "timing"]);
     // The quoted block name survives JSON escaping.
-    let first = serde_json::from_str(lines[0]).unwrap();
-    assert_eq!(first.get("name").and_then(|n| n.as_str()), Some("clamp \"odd\""));
+    let first = Json::parse(lines[0]).unwrap();
+    assert_eq!(first.get("name").and_then(Json::as_str), Some("clamp \"odd\""));
     // Canonical forms carry stable fields only: no timing, no seq.
     let canon = journal.events()[0].kind.canonical();
     assert!(canon.contains("block_eval"), "{canon}");
@@ -269,8 +270,8 @@ fn report_lists_every_metric_kind() {
 fn chrome_trace_of_empty_registry_parses() {
     let registry = Registry::new();
     let json = registry.chrome_trace_json();
-    let value = serde_json::from_str(&json).expect("empty trace must be valid JSON");
-    assert_eq!(value["traceEvents"].as_array().unwrap().len(), 0);
+    let value = Json::parse(&json).expect("empty trace must be valid JSON");
+    assert_eq!(value.get("traceEvents").and_then(Json::as_array).unwrap().len(), 0);
 }
 
 /// Replays `script` (span depth deltas) against a registry: positive =
@@ -302,14 +303,14 @@ proptest! {
         let opened = run_span_script(&registry, &script);
 
         let json = registry.chrome_trace_json();
-        let value = match serde_json::from_str(&json) {
+        let value = match Json::parse(&json) {
             Ok(v) => v,
             Err(e) => return Err(TestCaseError::fail(format!("bad JSON: {e}\n{json}"))),
         };
-        let events = value["traceEvents"]
-            .as_array()
-            .expect("traceEvents array")
-            .clone();
+        let events = value
+            .get("traceEvents")
+            .and_then(Json::as_array)
+            .expect("traceEvents array");
         if !jtobs::ENABLED {
             prop_assert!(events.is_empty());
             return Ok(());
@@ -321,12 +322,12 @@ proptest! {
         let mut stacks: std::collections::BTreeMap<i64, Vec<String>> =
             std::collections::BTreeMap::new();
         let mut last_ts = f64::MIN;
-        for e in &events {
-            let name = e["name"].as_str().expect("name").to_string();
-            let phase = e["ph"].as_str().expect("ph");
-            let ts = e["ts"].as_f64().expect("ts");
-            let tid = e["tid"].as_i64().expect("tid");
-            prop_assert_eq!(e["pid"].as_i64(), Some(1));
+        for e in events {
+            let name = e.get("name").and_then(Json::as_str).expect("name").to_string();
+            let phase = e.get("ph").and_then(Json::as_str).expect("ph");
+            let ts = e.get("ts").and_then(Json::as_f64).expect("ts");
+            let tid = e.get("tid").and_then(Json::as_i64).expect("tid");
+            prop_assert_eq!(e.get("pid").and_then(Json::as_i64), Some(1));
             prop_assert!(ts >= last_ts, "events are time-ordered");
             last_ts = ts;
             let stack = stacks.entry(tid).or_default();

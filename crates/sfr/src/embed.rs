@@ -147,9 +147,7 @@ impl JtBlock {
 ///
 /// See [`EmbedError`]. The policy checked is the stock ASR policy.
 pub fn embed(source: &str, class: &str, ctor_args: &[i64]) -> Result<JtBlock, EmbedError> {
-    let program = jtlang::check_source(source).map_err(EmbedError::Frontend)?;
-    let table = jtlang::resolve::resolve(&program)
-        .map_err(|e| EmbedError::Frontend(e.to_string()))?;
+    let (program, table) = jtanalysis::frontend(source).map_err(EmbedError::Frontend)?;
     let violations = Policy::asr().check(&program, &table);
     if !violations.is_empty() {
         return Err(EmbedError::NotCompliant(violations));

@@ -114,9 +114,7 @@ impl RefinementSession {
     /// [`SessionError::Frontend`] when the program does not parse,
     /// resolve, or type-check.
     pub fn from_source(source: &str, policy: Policy) -> Result<Self, SessionError> {
-        let program = jtlang::check_source(source).map_err(SessionError::Frontend)?;
-        let table = jtlang::resolve::resolve(&program)
-            .map_err(|e| SessionError::Frontend(e.to_string()))?;
+        let (program, table) = jtanalysis::frontend(source).map_err(SessionError::Frontend)?;
         Ok(RefinementSession {
             program,
             table,
@@ -209,10 +207,9 @@ impl RefinementSession {
     ///
     /// [`SessionError::Frontend`] when the new text is ill-formed.
     pub fn replace_source(&mut self, source: &str) -> Result<(), SessionError> {
-        let program = jtlang::check_source(source).map_err(SessionError::Frontend)?;
-        self.table = jtlang::resolve::resolve(&program)
-            .map_err(|e| SessionError::Frontend(e.to_string()))?;
+        let (program, table) = jtanalysis::frontend(source).map_err(SessionError::Frontend)?;
         self.program = program;
+        self.table = table;
         Ok(())
     }
 
@@ -383,6 +380,21 @@ mod tests {
              }",
         )
         .unwrap();
+        assert!(s.is_compliant());
+    }
+
+    #[test]
+    fn unresolvable_source_is_a_frontend_error() {
+        let expected =
+            SessionError::Frontend("class `A` extends unknown class `Missing`".to_string());
+        let bad = "class A extends Missing { }";
+        assert_eq!(
+            RefinementSession::from_source(bad, Policy::asr()).unwrap_err(),
+            expected
+        );
+        let mut s = session(jtlang::corpus::FIR_FILTER);
+        assert_eq!(s.replace_source(bad).unwrap_err(), expected);
+        // A rejected edit leaves the session on its last good program.
         assert!(s.is_compliant());
     }
 

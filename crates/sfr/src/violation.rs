@@ -8,6 +8,7 @@
 //! any) can discharge it.
 
 use jtlang::token::Span;
+use jtobs::json::Json;
 use std::fmt;
 
 /// How a violation can be fixed.
@@ -112,25 +113,6 @@ pub fn render(v: &Violation, file: &str, source: &str) -> String {
     out
 }
 
-/// Escapes `s` for inclusion in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders a violation as one compact JSON object (the `jtlint --json`
 /// line format). Field order is fixed so the output is diffable:
 /// `rule`, `rule_title`, `class`, `message`, `span` (start/end byte
@@ -140,47 +122,42 @@ fn json_escape(s: &str) -> String {
 /// analysis fact behind the finding (e.g. the proved loop bound that
 /// discharges or substantiates an R2 report).
 pub fn render_json(v: &Violation, evidence: Option<&str>) -> String {
-    use fmt::Write as _;
-
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{\"rule\":\"{}\",\"rule_title\":\"{}\",\"class\":\"{}\",\"message\":\"{}\"",
-        json_escape(v.rule),
-        json_escape(v.rule_title),
-        json_escape(&v.class),
-        json_escape(&v.message),
-    );
-    let _ = write!(
-        out,
-        ",\"span\":{{\"start\":{},\"end\":{},\"line\":{},\"col\":{}}}",
-        v.span.start, v.span.end, v.span.line, v.span.col
-    );
-    match &v.fix {
+    let text = |s: &str| Json::Str(s.to_string());
+    let fix = match &v.fix {
         Fix::Automated {
             transform,
             description,
-        } => {
-            let _ = write!(
-                out,
-                ",\"fix\":{{\"kind\":\"automated\",\"transform\":\"{}\",\"description\":\"{}\"}}",
-                json_escape(transform),
-                json_escape(description)
-            );
-        }
-        Fix::Manual { guidance } => {
-            let _ = write!(
-                out,
-                ",\"fix\":{{\"kind\":\"manual\",\"guidance\":\"{}\"}}",
-                json_escape(guidance)
-            );
-        }
-    }
+        } => vec![
+            ("kind", text("automated")),
+            ("transform", text(transform)),
+            ("description", text(description)),
+        ],
+        Fix::Manual { guidance } => vec![("kind", text("manual")), ("guidance", text(guidance))],
+    };
+    let mut fields = vec![
+        ("rule", text(v.rule)),
+        ("rule_title", text(v.rule_title)),
+        ("class", text(&v.class)),
+        ("message", text(&v.message)),
+        (
+            "span",
+            obj(vec![
+                ("start", Json::Num(v.span.start as i64)),
+                ("end", Json::Num(v.span.end as i64)),
+                ("line", Json::Num(i64::from(v.span.line))),
+                ("col", Json::Num(i64::from(v.span.col))),
+            ]),
+        ),
+        ("fix", obj(fix)),
+    ];
     if let Some(e) = evidence {
-        let _ = write!(out, ",\"evidence\":\"{}\"", json_escape(e));
+        fields.push(("evidence", text(e)));
     }
-    out.push('}');
-    out
+    obj(fields).render()
+}
+
+fn obj(fields: Vec<(&str, Json)>) -> Json {
+    Json::Obj(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
 }
 
 /// [`render_json`] with a *structured* evidence payload: `evidence_json`
@@ -330,6 +307,39 @@ mod tests {
              \"evidence\":{\"kind\":\"ownership\",\"verdict\":\"finding\"}}"
         );
         assert_eq!(render_json_object(&v, None), render_json(&v, None));
+    }
+
+    #[test]
+    fn json_output_round_trips_through_the_codec() {
+        let evidence = jtanalysis::evidence::Evidence::AliasLeak {
+            verdict: jtanalysis::evidence::Verdict::Finding,
+            class: "Tap".into(),
+            method: "Tap.get".into(),
+            field: "buf \"raw\"".into(),
+            via_return: true,
+            decl_span: Span::new(1, 2, 1, 2).into(),
+            witness_span: Span::new(30, 41, 3, 5).into(),
+            mutable_because: "int[]\telements".into(),
+        };
+        let v = Violation {
+            rule: "R14",
+            rule_title: "no aliasing of block state",
+            message: "`Tap.get` leaks \"buf\"\n\u{1}".to_string(),
+            span: Span::new(30, 41, 3, 5),
+            class: "Tap\r".to_string(),
+            fix: Fix::Automated {
+                transform: "copy-out",
+                description: "return a copy \\ not the field".to_string(),
+            },
+        };
+        let structured = evidence.to_json().render();
+        for line in [
+            render_json_object(&v, Some(&structured)),
+            render_json_object(&v, None),
+            render_json(&v, Some("prose\tevidence")),
+        ] {
+            assert_eq!(Json::parse(&line).unwrap().render(), line);
+        }
     }
 
     #[test]

@@ -20,23 +20,24 @@
 //! re-runs the front end on that sample to obtain the AST it validates
 //! against.
 
-use jtanalysis::evidence::{Evidence, Json};
+use jtanalysis::evidence::Evidence;
+use jtobs::json::Json;
 use std::io::BufRead as _;
 
 fn check_line(line: &str) -> Result<Option<&'static str>, String> {
     let obj = Json::parse(line)?;
-    let rule = match obj.get("rule") {
-        Some(Json::Str(r)) => r.clone(),
-        _ => return Err("line has no `rule` field".to_string()),
-    };
-    if !matches!(rule.as_str(), "R2" | "R12" | "R13" | "R14") {
+    let rule = obj
+        .get("rule")
+        .and_then(Json::as_str)
+        .ok_or("line has no `rule` field")?;
+    if !matches!(rule, "R2" | "R12" | "R13" | "R14") {
         return Ok(None);
     }
-    let file = match obj.get("file") {
-        Some(Json::Str(f)) => f.clone(),
-        _ => return Err("line has no `file` field".to_string()),
-    };
-    let name = file.strip_suffix(".jt").unwrap_or(&file);
+    let file = obj
+        .get("file")
+        .and_then(Json::as_str)
+        .ok_or("line has no `file` field")?;
+    let name = file.strip_suffix(".jt").unwrap_or(file);
     let sample = jtlang::corpus::samples()
         .into_iter()
         .find(|s| s.name == name)

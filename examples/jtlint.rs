@@ -114,7 +114,11 @@ fn lint(
 /// `{"rule":…`, so splicing after the brace is safe.
 fn json_line(file: &str, v: &Violation, evidence: Option<&str>) -> String {
     let body = render_json_object(v, evidence);
-    format!("{{\"file\":\"{file}\",{}", &body[1..])
+    let mut out = String::from("{\"file\":");
+    jtobs::json::write_str(file, &mut out);
+    out.push(',');
+    out.push_str(&body[1..]);
+    out
 }
 
 /// The `--precision` gate: interprocedural findings at `k = 1` must be

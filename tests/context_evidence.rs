@@ -10,9 +10,10 @@
 //! accepted by the independent `evidence::verify` re-validation pass,
 //! which re-walks the source without re-running any solver.
 
-use jtanalysis::evidence::{self, Evidence, Json};
+use jtanalysis::evidence::{self, Evidence};
 use jtanalysis::flow::FlowReport;
 use jtanalysis::{callgraph, flow, frontend};
+use jtobs::json::Json;
 use jtlang::corpus::{self, GenConfig};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
